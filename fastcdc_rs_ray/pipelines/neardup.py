@@ -1,11 +1,11 @@
 """The flagship pipeline: transcripts -> near-duplicate cluster assignments.
 
     read transcripts                          (streaming blocks)
-      -> assemble           [shuffle #1: hash(conv_id), or pre-partitioned]
+      -> assemble           [exchange #1: sort(conv_id), or pre-partitioned]
       -> chunk              (stateless map_batches; FastCDC v2020 kernel)
       -> minhash            (128 keyed-mix permutations, per-worker cache)
       -> bands              (u64 band_key x conv_key rows)
-      -> sort(band_key) + per-block link + boundary stitch  [exchange #2]
+      -> sort(band_key) + per-block link                   [exchange #2]
       -> dedupe + verify    [signature-estimate Jaccard >= threshold]
       -> connected components (driver union-find | distributed label prop)
       -> clusters (conv_id, cluster_id)
@@ -31,7 +31,7 @@ from ..stages.chunk import DEFAULT_CONFIG, chunk
 from ..stages.cc import connected_components_distributed, connected_components_driver
 from ..stages.lsh import N_BANDS, N_SALTS, candidate_edges, conv_keys
 from ..stages.minhash import N_PERMS, SHINGLE_K, minhash
-from ..util import shuffle_safe_partitions
+from ..util import co_locate
 
 
 def signatures_pipeline(
@@ -205,13 +205,14 @@ def verify_edges_driver(edges_ds, sig_ds, threshold: float | None) -> pa.Table:
 
 
 # --------------------------------------------------------------------------
-# scale fallback: two-shuffle tag-union verification (u64 edges in,
+# scale fallback: range-sort tag-union verification (u64 edges in,
 # conv_id-string edges out)
 # --------------------------------------------------------------------------
 
 
 def dedupe_edges(edges_ds, num_partitions: int = 16):
-    """Distinct normalized (src, dst) u64 pairs via one keyed shuffle."""
+    """Distinct normalized (src, dst) u64 pairs via one range-sort
+    exchange (``co_locate``)."""
 
     def local_distinct(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -227,8 +228,8 @@ def dedupe_edges(edges_ds, num_partitions: int = 16):
         )
 
     ded = edges_ds.map_batches(local_distinct, batch_format="pyarrow")
-    ded = ded.repartition(num_blocks=num_partitions, keys=["src", "dst"])
-    return ded.map_batches(local_distinct, batch_format="pyarrow", batch_size=None)
+    return co_locate(ded, ["src", "dst"], num_partitions).map_batches(
+        local_distinct, batch_format="pyarrow", batch_size=None)
 
 
 def verify_edges_shuffle(edges_ds, sig_ds, threshold: float | None,
@@ -236,11 +237,12 @@ def verify_edges_shuffle(edges_ds, sig_ds, threshold: float | None,
     """Keep candidate edges whose signature-estimated Jaccard (fraction of
     equal minhash components) >= threshold; emit conv_id string pairs.
 
-    Two hash shuffles, no ``Dataset.join`` (Ray's join finalize breaks on
-    schema-less empty partitions): (1) endpoint rows and packed-signature
-    rows are tag-unioned and co-partitioned on conv_key, where each endpoint
-    picks up its signature and id string; (2) the sig-carrying endpoint rows
-    are repartitioned on (src, dst) so each edge's two halves meet."""
+    Two range-sort exchanges (``co_locate``), no ``Dataset.join`` (Ray's
+    join finalize breaks on schema-less empty partitions): (1) endpoint
+    rows and packed-signature rows are tag-unioned and co-located on
+    conv_key, where each endpoint picks up its signature and id string;
+    (2) the sig-carrying endpoint rows are co-located on (src, dst) so
+    each edge's two halves meet."""
 
     def endpoint_rows(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -277,7 +279,7 @@ def verify_edges_shuffle(edges_ds, sig_ds, threshold: float | None,
     mixed = edges_ds.map_batches(endpoint_rows, batch_format="pyarrow").union(
         sig_ds.map_batches(sig_rows, batch_format="pyarrow")
     )
-    mixed = mixed.repartition(num_blocks=num_partitions, keys=["key"])
+    mixed = co_locate(mixed, "key", num_partitions)
 
     attach_schema = pa.schema(
         [
@@ -320,7 +322,7 @@ def verify_edges_shuffle(edges_ds, sig_ds, threshold: float | None,
         ).cast(attach_schema)
 
     halves = mixed.map_batches(attach, batch_format="pyarrow", batch_size=None)
-    halves = halves.repartition(num_blocks=num_partitions, keys=["src", "dst"])
+    halves = co_locate(halves, ["src", "dst"], num_partitions)
 
     def est(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -368,15 +370,11 @@ def verify_edges(edges_ds, sig_ds, threshold: float | None,
 
     Driver numpy path while the candidate set is driver-sized (the common
     case: candidates are a thin slice of the corpus — ~200 MB of signatures
-    per million endpoints); tag-union shuffle path beyond."""
+    per million endpoints); tag-union range-sort path beyond."""
     if driver_limit > 0 and edges_ds.count() <= driver_limit:
         import ray.data as rd
 
         return rd.from_arrow(verify_edges_driver(edges_ds, sig_ds, threshold))
-    # the dedupe+verify plan keeps ~2.25x num_partitions aggregator actors
-    # live at once; clamp so they can't starve the map tasks on a small
-    # cluster (deadlock observed at 32 partitions x 3 shuffles on 8 CPUs)
-    num_partitions = shuffle_safe_partitions(num_partitions)
     ded = dedupe_edges(edges_ds, num_partitions=max(4, num_partitions // 4))
     return verify_edges_shuffle(ded, sig_ds, threshold, num_partitions)
 
@@ -448,7 +446,7 @@ def neardup_clusters_from_signatures(
 
 def neardup_clusters_distributed(transcripts_ds, **kw):
     """The flagship with every data-proportional stage forced DISTRIBUTED
-    (verify via the tag-union shuffle path, connected components via
+    (verify via the tag-union range-sort path, connected components via
     label-propagation rounds) — the configuration a multi-node cluster
     runs, where no stage's cost may grow with the corpus while staying on
     the driver.  `neardup_clusters`'s auto paths deliberately keep

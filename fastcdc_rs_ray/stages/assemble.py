@@ -7,9 +7,9 @@ the payload, preserving per-turn text equality under stable
 ``(conv_id, turn_idx)`` ordering (the north-rule invariant) — see
 :func:`explode_turns` for the exact inverse.
 
-Distribution: one hash-shuffle on ``conv_id`` (`repartition(keys=...)` with
-Ray's hash-shuffle strategy) co-locates each conversation in one block; the
-per-batch assembly is then fully vectorized Arrow:
+Distribution: one range sort on ``conv_id`` (``util.co_locate``, a
+task-based exchange with no aggregator actors) puts each conversation in
+one block; the per-batch assembly is then fully vectorized Arrow:
 
 - sort batch by (conv_id, turn_idx),
 - the sorted ``text`` column's values buffer IS the concatenation of all
@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import hash_str_array_u64
+from ..util import co_locate
 
 CONV_SCHEMA_COLUMNS = ["conv_id", "payload", "turn_spans", "n_turns", "total_bytes"]
 
@@ -114,22 +114,20 @@ def _span_type() -> pa.StructType:
 
 
 def assemble(ds, num_partitions: int | None = None, pre_partitioned: bool = False):
-    """transcripts Dataset -> conv_bytes Dataset (shuffle #1, key conv_id).
+    """transcripts Dataset -> conv_bytes Dataset (exchange #1, key conv_id).
 
     ``pre_partitioned=True`` asserts the *input layout* already co-locates
     every conversation inside one block (e.g. parquet files written
     conversation-contiguous with one row group per file — the normal
-    at-scale ingest layout) and skips the hash shuffle entirely.  The
+    at-scale ingest layout) and skips the exchange entirely.  The
     partitioning assumption this relies on: no conv_id spans two input
     blocks; violating it yields duplicate conv_bytes rows for the split
     conversation (each covering only its block's turns).
     """
     if not pre_partitioned:
-        if num_partitions is None:
-            num_partitions = 64
-        ds = ds.repartition(num_blocks=num_partitions, keys=["conv_id"])
-    # batch_size=None => whole blocks; keyed repartition (or the declared
-    # input layout) guarantees whole conversations per block, so per-batch
+        ds = co_locate(ds, "conv_id", num_partitions or 64)
+    # batch_size=None => whole blocks; co_locate (or the declared input
+    # layout) guarantees whole conversations per block, so per-batch
     # assembly is complete.
     return ds.map_batches(assemble_batch, batch_format="pyarrow", batch_size=None)
 

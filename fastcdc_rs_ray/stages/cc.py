@@ -583,10 +583,15 @@ def connected_components_bsp(
 
     vt_str = "int64" if pa.types.is_integer(vertex_type) else "string"
     # fractional CPUs: the pool must never reserve the whole cluster away
-    # from the read tasks that feed it (n_shards x 1.0 deadlocked a
-    # 4-CPU session); shards are latency-bound message handlers, not
-    # sustained compute
-    Actor = ray.remote(num_cpus=0.25)(_CCShardActor)
+    # from the tasks that feed it (n_shards x 1.0 deadlocked a 4-CPU
+    # session, and so did 16 shards x 0.25); shards are latency-bound
+    # message handlers, not sustained compute.  Cap the pool at half the
+    # session's CPUs.
+    shard_cpu = 0.25
+    cpus = float(ray.cluster_resources().get("CPU", 0.0))
+    if cpus > 0:
+        n_shards = max(1, min(n_shards, int(cpus * 0.5 / shard_cpu)))
+    Actor = ray.remote(num_cpus=shard_cpu)(_CCShardActor)
     actors = [Actor.remote(n_shards, i, vt_str) for i in range(n_shards)]
 
     def route_edges(t: pa.Table) -> pa.Table:

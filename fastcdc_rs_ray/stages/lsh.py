@@ -10,37 +10,36 @@ Scale design (the widest exchange of the pipeline — n_bands x corpus rows):
 - **Lean rows**: two uint64 columns (band key, conv key).  A 64-bit key
   collision can only merge two unrelated groups (never drop an edge), and
   the signature-verification stage filters those — recall unaffected.
-- **Range-sort exchange, not hash shuffle**: ``Dataset.sort(band_key)``
-  co-locates equal keys with a task-based range shuffle (measured 4-6x
-  cheaper than the aggregator-actor hash shuffle at every partition
-  count).  Equal-key runs may straddle adjacent sorted blocks; per-block
-  consecutive linking plus a driver-side **boundary stitch** (one tiny row
-  per block) restores full connectivity.
-- **Skew (hot bands) falls out for free**: a boilerplate band with 10^6
-  members becomes one long sorted run *split across blocks by the range
-  partitioner* — each block links its slice linearly (emission is linear,
-  never O(n^2)), and the stitch joins the slices.  No explicit salting
-  machinery needed; candidate CONNECTIVITY is identical to emitting all
-  pairs.  (Cluster assignments are identical too when verification is off
-  or the candidates pass uniformly; with per-edge verification at a
-  threshold, chain edges are a subset of all pairs, so a borderline group
-  can verify differently than all-pairs emission would — the recall
-  harness measures the end-to-end effect, >=0.99 at the reference config.
-  Chain edges are made deterministic by (band_key, conv_key) ordering
-  inside _link_block and min-conv representatives in the stitch.)
+- **Range-sort exchange, not hash shuffle**: ``util.co_locate`` on
+  ``band_key`` puts equal keys in one block with a task-based range sort
+  (measured 4-6x cheaper than the aggregator-actor hash shuffle at every
+  partition count).  Every sort mapper cuts at the same boundaries, so an
+  equal-key run never spans two blocks, and per-block consecutive linking
+  connects each run completely.
+- **Skew (hot bands)**: a boilerplate band with 10^6 members goes whole
+  to one sort reducer, which links it linearly (emission is O(n), never
+  the O(n^2) of all pairs).  Candidate CONNECTIVITY is identical to
+  emitting all pairs, but the hot band's block is as large as the band
+  and one task links it; the paper's explicit hot-band salting, which
+  would spread that work, is not implemented.  (Cluster assignments are
+  identical too when verification is off or the candidates pass
+  uniformly; with per-edge verification at a threshold, chain edges are
+  a subset of all pairs, so a borderline group can verify differently
+  than all-pairs emission would — the recall harness measures the
+  end-to-end effect, >=0.99 at the reference config.  Chain edges are
+  deterministic by (band_key, conv_key) ordering inside _link_block.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..util import U64, mix64
+from ..util import co_locate, mix64
 
 N_BANDS = 32
-# retained for API compatibility: salting is subsumed by range-sort block
-# splitting + boundary stitching (see module docstring)
+# retained for API compatibility: hot bands are not salted (see module
+# docstring)
 N_SALTS = 8
 
 
@@ -129,86 +128,20 @@ def _link_block(t: pa.Table) -> pa.Table:
     )
 
 
-def _block_boundary(t: pa.Table) -> pa.Table:
-    """One row per non-empty sorted block: its first/last key, each with
-    the MINIMUM conv in that key's run (deterministic representative —
-    row order within an equal-key run is arrival order)."""
-    n = len(t)
-    if n == 0:
-        return pa.table(
-            {
-                "first_key": pa.array([], pa.uint64()),
-                "first_conv": pa.array([], pa.uint64()),
-                "last_key": pa.array([], pa.uint64()),
-                "last_conv": pa.array([], pa.uint64()),
-            }
-        )
-    kv = t["band_key"].combine_chunks().to_numpy()
-    conv = t["conv_key"].combine_chunks().to_numpy()
-    return pa.table(
-        {
-            "first_key": pa.array(kv[:1], pa.uint64()),
-            "first_conv": pa.array([conv[kv == kv[0]].min()], pa.uint64()),
-            "last_key": pa.array(kv[-1:], pa.uint64()),
-            "last_conv": pa.array([conv[kv == kv[-1]].min()], pa.uint64()),
-        }
-    )
-
-
 def candidate_edges(sig_ds, n_bands: int = N_BANDS, n_salts: int = N_SALTS,
                     num_partitions: int = 64):
-    """signatures Dataset -> edges Dataset (sorted linking + boundary stitch).
+    """signatures Dataset -> edges Dataset (range sort + per-block linking).
 
     ``n_salts``/``num_partitions`` are accepted for interface stability; the
-    sort path needs neither (block count follows the sort's range
-    partitioning).
+    sort path needs neither.
     """
-    import ray.data as rd
-
     bands = sig_ds.map_batches(
         lambda t: bands_from_signatures(t, n_bands),
         batch_format="pyarrow",
     )
-    # coalesce before the sort: the range exchange creates in-blocks x
-    # out-blocks partition objects, so hundreds of input blocks explode the
-    # object count (253s -> ~10s at 153M rows after coalescing to 64)
-    bands = bands.repartition(64)
-    srt = bands.sort("band_key").materialize()
-    edges = srt.map_batches(_link_block, batch_format="pyarrow", batch_size=None)
-
-    # boundary stitch: Dataset row order == sorted order, so consecutive
-    # non-empty blocks whose adjacent (last_key, first_key) match get one
-    # linking edge.  O(num_blocks) driver work.
-    bounds = [
-        b
-        for b in srt.map_batches(
-            _block_boundary, batch_format="pyarrow", batch_size=None
-        ).iter_batches(batch_format="pyarrow")
-        if b.num_rows
-    ]
-    if bounds:
-        bt = pa.concat_tables(bounds)  # one row per non-empty block
-        m = len(bt)
-        last_k = bt["last_key"].combine_chunks().to_numpy()
-        first_k = bt["first_key"].combine_chunks().to_numpy()
-        # Re-establish the range order explicitly: iter_batches does NOT
-        # guarantee sorted-dataset block order under the streaming executor
-        # (preserve_order defaults off), and a permuted boundary list would
-        # silently drop cross-block links for runs straddling blocks.
-        # Blocks hold disjoint key ranges (equal keys may share endpoints),
-        # so (first_key, last_key) lexorder IS the range order.
-        order = np.lexsort((last_k, first_k))
-        bt = bt.take(pa.array(order, pa.int64()))
-        last_k, first_k = last_k[order], first_k[order]
-        hit = np.flatnonzero(last_k[:-1] == first_k[1:]) if m > 1 else np.array([], int)
-        stitch = pa.table(
-            {
-                "src": bt["last_conv"].combine_chunks().take(pa.array(hit, pa.int64())),
-                "dst": bt["first_conv"].combine_chunks().take(pa.array(hit + 1, pa.int64())),
-            }
-        )
-    else:
-        stitch = pa.table(
-            {"src": pa.array([], pa.uint64()), "dst": pa.array([], pa.uint64())}
-        )
-    return edges.union(rd.from_arrow(stitch))
+    # 64 blocks, not the reader's count: the range exchange creates
+    # in-blocks x out-blocks partition objects, so hundreds of input
+    # blocks explode the object count (253s -> ~10s at 153M rows after
+    # coalescing to 64)
+    return co_locate(bands, "band_key", 64).map_batches(
+        _link_block, batch_format="pyarrow", batch_size=None)

@@ -266,7 +266,7 @@ def corpus_shuffle(documents_ds, seed: int = SHUFFLE_SEED,
     ordered, disjoint key ranges), a one-row-per-block summary pass gives
     the driver (first_skey, count) pairs; the prefix-sum offsets broadcast
     back, and each block finds its own offset by searchsorted on its first
-    key — the same boundary-stitch idiom as the LSH band linker.  The
+    key (stages/balance.py uses the same boundary stitch).  The
     permutation is retry-stable and identical at any block count.
     """
     import ray

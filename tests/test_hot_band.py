@@ -2,9 +2,8 @@
 into one massive equal-key group — the boilerplate-skew case the north rule
 calls out.  The sort-link exchange must stay linear (consecutive linking
 emits O(n) edges per band, never the O(n^2) pair explosion a naive
-per-group pair emission would produce) while connectivity survives the
-range partitioner splitting the hot run across blocks (that split IS the
-salting).
+per-group pair emission would produce) while the range sort hands the hot
+run whole to one reducer, which must still connect it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def test_hot_band_edges_linear(ray_session):
     ds = rd.from_arrow(_corpus()).repartition(8)
     edges = candidate_edges(doc_signatures(ds)).to_pandas()
     # identical docs share all N_BANDS bands; consecutive linking bounds the
-    # edge count by ~n per band (plus stitches), never n^2/2 = 4.5M
+    # edge count by ~n per band, never n^2/2 = 4.5M
     assert len(edges) <= N_HOT * N_BANDS + 1000
     assert len(edges) >= N_HOT - 1  # enough edges to connect the hot run
 

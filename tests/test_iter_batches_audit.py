@@ -54,7 +54,6 @@ AUDITED = {
     "stages/kmeans.py": 2,
     "stages/linkage.py": 1,
     "stages/locality.py": 1,
-    "stages/lsh.py": 2,
     "stages/msf.py": 2,
     "stages/packing.py": 1,
     "stages/pagerank.py": 1,
