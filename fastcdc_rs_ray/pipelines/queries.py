@@ -3499,7 +3499,8 @@ def q_triangle_count(sf_dir: str):
 
 def q_triangle_count_x(sf_dir: str):
     """triangle_count through degree_mode="exchange" — degrees, endpoint
-    attach and orientation all keyed exchanges, no node-universe-sized
+    attach and orientation all through exchanges (``util.co_locate``
+    range sorts), no node-universe-sized
     driver or broadcast state (the 100 TB growth path; VERDICT r3 item
     3).  Same oracle SQL as triangle_count: the driver's hash check
     proves the two plans agree with DuckDB bit-for-bit."""
@@ -3987,9 +3988,9 @@ def q_part_kcore(sf_dir: str):
 
 def q_part_kcore_x(sf_dir: str):
     """k-core through kcore_members_exchange — the surviving subgraph
-    lives as the edge Dataset, two keyed exchanges per peel round
-    (round-5 fusion: degree partials ride the endpoint filters)
-    (degree reduction + two endpoint-filter attaches), NO survivor
+    lives as the edge Dataset, two exchanges per peel round (the two
+    endpoint filters, which also reduce the degree partials riding
+    them; both are ``util.co_locate`` range sorts), NO survivor
     broadcast (the 100 TB growth plan, closing the last
     broadcast-dimension assumption in the graph family).  Shares
     part_kcore's MATERIALIZED-CTE peeling oracle."""

@@ -7,13 +7,13 @@ degree >= k.  Synchronous batch peeling (each round removes EVERY
 vertex whose residual degree < k) reaches the same unique fixpoint as
 sequential peeling, in rounds = peel depth.
 
-Plan: canonical distinct edges via one keyed exchange (the
-triangle_count discipline — self loops dropped, multiplicity deduped),
-then per round ONE streaming pass over the materialized edge set with
-the survivor set broadcast via ray.put (the node universe is
-dimension-sized — the same broadcastability assumption as pagerank's
-rank vector): per-block degree partials count surviving neighbors,
-the driver merges dimension-sized partials and peels.  RAISES if the
+Plan: canonical distinct edges through one range sort on (a, b)
+(``canonical_edges``, shared with triangle_count — self loops dropped,
+multiplicity deduped), then per round ONE streaming pass over the
+materialized edge set with the survivor set broadcast via ray.put (the
+node universe is dimension-sized — the same broadcastability assumption
+as pagerank's rank vector): per-block degree partials count surviving
+neighbors, the driver merges dimension-sized partials and peels.  RAISES if the
 fixpoint is not reached within ``max_rounds``.
 
 SQL oracle: the SAME synchronous peeling UNROLLED as a chain of
@@ -34,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..util import co_locate
+
 KCORE_K = 30
 
 #: oracle unroll depth; the engine raises if peeling needs more rounds
@@ -43,49 +45,42 @@ KCORE_UNROLL = 12
 _CANON = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
+def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Distinct (a, b) rows in (a, b) order: lexsort plus a shifted
+    compare, so any int64 id is exact (no packing into one word)."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.ones(len(a), bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return pa.table({"a": pa.array(a[first], pa.int64()),
+                     "b": pa.array(b[first], pa.int64())})
+
+
 def canonical_edges(edges_ds, num_partitions: int = 8):
     """(src, dst) -> materialized distinct canonical (a < b) edge
-    Dataset via one keyed exchange (shared by the broadcast and
-    exchange peeling plans)."""
-    canon_schema = _CANON
+    Dataset: self loops dropped and per-block distinct, one range sort on
+    (a, b) (``util.co_locate``), then per-block distinct again.  Shared
+    by both k-core plans and ``stages.pagerank.triangle_count``."""
 
     def canon(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return canon_schema.empty_table()
+            return _CANON.empty_table()
         src = t["src"].combine_chunks().to_numpy(zero_copy_only=False)
         dst = t["dst"].combine_chunks().to_numpy(zero_copy_only=False)
         a = np.minimum(src, dst)
         b = np.maximum(src, dst)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        if len(a) == 0:
-            return canon_schema.empty_table()
-        # the a*2^32 + b packing silently corrupts the edge set for b >=
-        # 2^32 and OVERFLOWS int64 for a >= 2^31 (a <= b by canon) —
-        # RAISE instead, matching the repo's agree-or-both-fail
-        # discipline (ADVICE r3); dedupe via a structured view if wider
-        # ids are ever needed
-        if int(a.min()) < 0 or int(a.max()) >= (1 << 31) \
-                or int(b.max()) >= (1 << 32):
-            raise ValueError(
-                "part_kcore: packed-edge distinct needs vertex ids in "
-                "[0, 2^31) for the high word and [0, 2^32) for the low "
-                f"word — got a in [{int(a.min())}, {int(a.max())}], "
-                f"b max {int(b.max())}")
-        key = np.unique(a.astype(np.int64) * np.int64(1 << 32)
-                        + b.astype(np.int64))
-        return pa.table({
-            "a": pa.array(key >> np.int64(32), pa.int64()),
-            "b": pa.array(key & np.int64((1 << 32) - 1), pa.int64()),
-        })
-
-    ce = edges_ds.map_batches(canon, batch_format="pyarrow").repartition(
-        num_blocks=num_partitions, keys=["a", "b"])
+        keep = a != b  # self loops add no degree and close no triangle
+        return _distinct_pairs(a[keep], b[keep])
 
     def distinct(t: pa.Table) -> pa.Table:
-        return canon(pa.table({"src": t["a"], "dst": t["b"]})) \
-            if len(t) else canon_schema.empty_table()
+        if len(t) == 0:
+            return _CANON.empty_table()
+        return _distinct_pairs(
+            t["a"].combine_chunks().to_numpy(zero_copy_only=False),
+            t["b"].combine_chunks().to_numpy(zero_copy_only=False))
 
+    ce = co_locate(edges_ds.map_batches(canon, batch_format="pyarrow"),
+                   ["a", "b"], num_partitions)
     return ce.map_batches(distinct, batch_format="pyarrow",
                           batch_size=None).materialize()
 
@@ -97,11 +92,10 @@ def kcore_members(edges_ds, k: int = KCORE_K, num_partitions: int = 8,
     ce = canonical_edges(edges_ds, num_partitions)
 
     # node universe (dimension-sized)
-    nodes: set[int] = set()
-    for b in ce.iter_batches(batch_format="pyarrow"):
-        nodes.update(b["a"].to_pylist())
-        nodes.update(b["b"].to_pylist())
-    surv = np.asarray(sorted(nodes), np.int64)
+    ends = [b[c].to_numpy(zero_copy_only=False)
+            for b in ce.iter_batches(batch_format="pyarrow") if len(b)
+            for c in ("a", "b")]
+    surv = np.unique(np.concatenate(ends)) if ends else np.empty(0, np.int64)
 
     # per-round degree pass as raw tasks over the materialized edge
     # blocks: a Dataset execution carries a ~0.5 s scheduling floor that
@@ -160,13 +154,13 @@ def kcore_members_exchange_ds(edges_ds, k: int = KCORE_K,
     surviving member set is returned as a ``Dataset`` of (p_partkey)
     for downstream stages / ``write_parquet`` (VERDICT r4 item 2).
     The surviving subgraph lives as the canonical edge Dataset, and
-    each round is TWO keyed exchanges (round 5 — fused from three: the
-    old plan paid a separate KR for the keep set; now the block-level
-    degree PARTIALS ride each endpoint-filter exchange and the filter
-    block sums them itself, since KR(node) co-locates every partial for
-    a node with every edge keyed on that node),
+    each round is TWO co-locating exchanges (``util.co_locate``: a
+    range sort, no aggregator actors).  The block-level degree PARTIALS
+    ride each endpoint-filter exchange and the filter block sums them
+    itself, since co-location on ``key`` puts every partial for a node
+    in the block that holds every edge keyed on that node:
 
-      A. tag-union KR on endpoint ``a``: degree-partial rows (from the
+      A. tag-union on endpoint ``a``: degree-partial rows (from the
          START-of-round edge state) + edge rows keyed by ``a``; each
          block reduces deg(a) exactly and drops edges with deg(a) < k;
       B. the same on endpoint ``b`` over A's survivors, with the SAME
@@ -174,6 +168,9 @@ def kcore_members_exchange_ds(edges_ds, k: int = KCORE_K,
          round-start degrees, exactly the synchronous batch-peel the
          broadcast plan and the SQL oracle compute (parity-pytested
          bit-identical).
+
+    Before the rounds, ``canonical_edges`` pays one more range sort; after
+    them the member reduction pays one on ``node``.
 
     A node whose last edge disappears simply vanishes from the edge
     state — identical to the broadcast plan's deg-0 removal, because
@@ -260,21 +257,20 @@ def kcore_members_exchange_ds(edges_ds, k: int = KCORE_K,
         # (E is materialized, so re-deriving the cheap map per pipeline
         # beats paying another execution floor to materialize it)
         degp = E.map_batches(deg_partial, batch_format="pyarrow")
-        Ea = (degp.map_batches(deg_rows, batch_format="pyarrow")
-              .union(E.map_batches(
-                  lambda t: edge_rows(t, "a", "b"),
-                  batch_format="pyarrow"))
-              .repartition(num_blocks=num_partitions, keys=["key"])
-              .map_batches(lambda t: filter_block(t, "a", "b"),
-                           batch_format="pyarrow", batch_size=None))
-        E = (degp.map_batches(deg_rows, batch_format="pyarrow")
-             .union(Ea.map_batches(
-                 lambda t: edge_rows(t, "b", "a"),
-                 batch_format="pyarrow"))
-             .repartition(num_blocks=num_partitions, keys=["key"])
-             .map_batches(lambda t: filter_block(t, "b", "a"),
-                          batch_format="pyarrow", batch_size=None)
-             ).materialize()
+        Ea = co_locate(
+            degp.map_batches(deg_rows, batch_format="pyarrow").union(
+                E.map_batches(lambda t: edge_rows(t, "a", "b"),
+                              batch_format="pyarrow")),
+            ["key"], num_partitions,
+        ).map_batches(lambda t: filter_block(t, "a", "b"),
+                      batch_format="pyarrow", batch_size=None)
+        E = co_locate(
+            degp.map_batches(deg_rows, batch_format="pyarrow").union(
+                Ea.map_batches(lambda t: edge_rows(t, "b", "a"),
+                               batch_format="pyarrow")),
+            ["key"], num_partitions,
+        ).map_batches(lambda t: filter_block(t, "b", "a"),
+                      batch_format="pyarrow", batch_size=None).materialize()
         n_new = E.count()
         # edge-count fixpoint: every peeled node carries >= 1 surviving
         # incident edge (deg-0 nodes don't exist in edge state), so
@@ -292,8 +288,8 @@ def kcore_members_exchange_ds(edges_ds, k: int = KCORE_K,
     def member_rows(t: pa.Table) -> pa.Table:
         return pa.table({"p_partkey": t["node"]})
 
-    return (E.map_batches(deg_partial, batch_format="pyarrow")
-            .repartition(num_blocks=num_partitions, keys=["node"])
+    return (co_locate(E.map_batches(deg_partial, batch_format="pyarrow"),
+                      ["node"], num_partitions)
             .map_batches(deg_reduce, batch_format="pyarrow",
                          batch_size=None)
             .select_columns(["node"])

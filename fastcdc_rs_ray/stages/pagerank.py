@@ -4,8 +4,9 @@ floor-quantized integer mass (bit-deterministic under any partitioning).
 Second member of the iterative-algorithm family (stages/kmeans.py is the
 first; the reference has none of this — it is a chunking library):
 
-- Edge derivation is ONE keyed exchange: lineitems group by order, a
-  per-block lexsort emits a directed edge between consecutive line numbers
+- Edge derivation is ONE co-locating exchange (``util.co_locate``, a
+  range sort on the order key): lineitems group by order, a per-block
+  lexsort emits a directed edge between consecutive line numbers
   of the same order (the classic co-occurrence graph build).
 - Rank iterations hold the rank vector on the driver and broadcast it via
   ``ray.put`` each round (valid while |nodes| x 8 B fits a worker — the
@@ -27,6 +28,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..util import co_locate
+from .kcore import canonical_edges
 
 
 SCALE = 1_000_000_000_000  # 1e12: rank unit = 1e-12 of total mass
@@ -52,8 +56,8 @@ def copurchase_edges(lineitem_ds, num_partitions: int = 8):
             "l_linenumber": pc.cast(t["l_linenumber"], pa.int64()),
         }).cast(mid)
 
-    ex = lineitem_ds.map_batches(project, batch_format="pyarrow").repartition(
-        num_blocks=num_partitions, keys=["l_orderkey"])
+    ex = co_locate(lineitem_ds.map_batches(project, batch_format="pyarrow"),
+                   ["l_orderkey"], num_partitions)
 
     def edges(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -198,7 +202,7 @@ GRAPH_BROADCAST_EDGE_LIMIT = 25_000_000
 
 
 def node_degrees(edges_ds, num_partitions: int = 8):
-    """edges -> Dataset (node, out-deg) through ONE keyed exchange —
+    """edges -> Dataset (node, out-deg) through ONE range sort on node —
     the distributed replacement for the driver-merged degree pass
     (VERDICT r3 item 3).  dst-only nodes appear with deg 0, so the
     result is the full node universe."""
@@ -229,8 +233,8 @@ def node_degrees(edges_ds, num_partitions: int = 8):
         return pa.table({"node": pa.array(u, pa.int64()),
                          "deg": pa.array(s, pa.int64())})
 
-    return (edges_ds.map_batches(partial, batch_format="pyarrow")
-            .repartition(num_blocks=num_partitions, keys=["node"])
+    return (co_locate(edges_ds.map_batches(partial, batch_format="pyarrow"),
+                      ["node"], num_partitions)
             .map_batches(reduce_block, batch_format="pyarrow",
                          batch_size=None))
 
@@ -245,14 +249,16 @@ def pagerank_exchange_ds(edges_ds, n_iter: int = 10, damping_pct: int = 85,
     GRAPH_BROADCAST_EDGE_LIMIT a driver-collected |V|-sized table would
     re-introduce the bottleneck this plan removes).  The rank vector
     lives as a Dataset (node, deg, rank) and each round is exactly two
-    keyed exchanges,
+    co-locating exchanges (``util.co_locate``: range sorts, no
+    aggregator actors),
 
-      A. state rows + edge rows tag-union, KR on the SOURCE node:
+      A. state rows + edge rows tag-union, co-located on the SOURCE node:
          each block computes contrib = (85 * r_src) // (100 * deg_src)
          per edge and pre-reduces it per dst (block-local add.at) —
          the combiner discipline, so exchange B moves at most
          |blocks| x |distinct dst| rows, not |edges|;
-      B. state rows + contrib partials tag-union, KR on the DST node:
+      B. state rows + contrib partials tag-union, co-located on the DST
+         node:
          each block emits rank' = base + sum(contribs) plus a per-row
          `changed` flag whose Dataset sum() is the driver's only
          per-round scalar (the convergence check).
@@ -329,7 +335,7 @@ def pagerank_exchange_ds(edges_ds, n_iter: int = 10, damping_pct: int = 85,
         if (pos >= len(snode)).any() or (snode[np.minimum(
                 pos, len(snode) - 1)] != key[ed]).any():
             raise ValueError("pagerank_exchange: edge src missing from "
-                             "node universe — KR co-location broken")
+                             "node universe — co-location broken")
         c = (np.int64(_d) * srank[pos]) // (100 * sdeg[pos])
         dst = t["dst"].combine_chunks().to_numpy(zero_copy_only=False)[ed]
         ud, inv = np.unique(dst, return_inverse=True)
@@ -386,27 +392,27 @@ def pagerank_exchange_ds(edges_ds, n_iter: int = 10, damping_pct: int = 85,
         })
 
     # the rank-independent edge projection is computed ONCE (it re-enters
-    # the KR every round, but the per-round map over raw edges is saved)
+    # the exchange every round, but the per-round map over raw edges is
+    # saved)
     edges_a = edges_ds.map_batches(edge_a,
                                    batch_format="pyarrow").materialize()
 
     for _ in range(n_iter):
-        # both KRs stay in ONE execution per round: a mid-round
+        # both exchanges stay in ONE execution per round: a mid-round
         # materialize barrier measured 14.8 s vs 11.6 s on the 4-round
         # sf0.1 gate — the contribution stream is block-pre-reduced
         # (tiny), so pipelining beats exchange separation here, the
         # opposite trade from the triangle plan's row-heavy oe
-        contribs = (state.map_batches(state_a, batch_format="pyarrow")
-                    .union(edges_a)
-                    .repartition(num_blocks=num_partitions, keys=["key"])
-                    .map_batches(contrib_block, batch_format="pyarrow",
-                                 batch_size=None))
-        state = (state.map_batches(state_b, batch_format="pyarrow")
-                 .union(contribs.map_batches(contrib_b,
-                                             batch_format="pyarrow"))
-                 .repartition(num_blocks=num_partitions, keys=["key"])
-                 .map_batches(newrank_block, batch_format="pyarrow",
-                              batch_size=None)).materialize()
+        contribs = co_locate(
+            state.map_batches(state_a, batch_format="pyarrow")
+            .union(edges_a), ["key"], num_partitions,
+        ).map_batches(contrib_block, batch_format="pyarrow", batch_size=None)
+        state = co_locate(
+            state.map_batches(state_b, batch_format="pyarrow")
+            .union(contribs.map_batches(contrib_b, batch_format="pyarrow")),
+            ["key"], num_partitions,
+        ).map_batches(newrank_block, batch_format="pyarrow",
+                      batch_size=None).materialize()
         if _changed_total(state) == 0:
             break
 
@@ -470,8 +476,8 @@ def pagerank_numpy_reference(src: np.ndarray, dst: np.ndarray,
 
 def _orient_exchange(ce, deg_partial, num_partitions: int):
     """Distinct canonical edges (a, b) -> oriented Dataset (lo, hi, dh)
-    with dh = hi's undirected degree, through keyed exchanges only:
-    two tag-union KR exchanges that attach the (in-kernel-reduced)
+    with dh = hi's undirected degree, through co-locating exchanges
+    only: two tag-union range sorts that attach the (in-kernel-reduced)
     degree to each endpoint, then a stateless local orientation by
     lexicographic (deg, node) comparison — no node-universe-sized driver
     or broadcast state (triangle_count degree_mode="exchange"; the
@@ -480,9 +486,10 @@ def _orient_exchange(ce, deg_partial, num_partitions: int):
                      ("d", pa.int64()), ("tag", pa.int8())])
 
     # degree PARTIALS ride both attach exchanges and are reduced inside
-    # the kernel (round 5 — the k-core fusion applied here): KR(node)
-    # co-locates every partial for a node with every edge keyed on it,
-    # so the old separate degree-reduction KR + materialize are gone
+    # the kernel (round 5 — the k-core fusion applied here): co-location
+    # on the node puts every partial for a node with every edge keyed on
+    # it, so the old separate degree-reduction exchange + materialize are
+    # gone
     # (three exchanges + two executions -> two exchanges + one).
     degp = ce.map_batches(deg_partial, batch_format="pyarrow")
 
@@ -530,11 +537,12 @@ def _orient_exchange(ce, deg_partial, num_partitions: int):
             "tag": pa.array(np.ones(len(t), np.int8), pa.int8()),
         }).cast(att)
 
-    p1 = (degp.map_batches(deg_rows, batch_format="pyarrow")
-          .union(ce.map_batches(edge_rows_a, batch_format="pyarrow"))
-          .repartition(num_blocks=num_partitions, keys=["key"])
-          .map_batches(lambda t: _attach_kernel(t, ("a", "b", "da")),
-                       batch_format="pyarrow", batch_size=None))
+    p1 = co_locate(
+        degp.map_batches(deg_rows, batch_format="pyarrow")
+        .union(ce.map_batches(edge_rows_a, batch_format="pyarrow")),
+        ["key"], num_partitions,
+    ).map_batches(lambda t: _attach_kernel(t, ("a", "b", "da")),
+                  batch_format="pyarrow", batch_size=None)
 
     # pass 2: key = b  -> (b, a, db, da)
     def edge_rows_b(t: pa.Table) -> pa.Table:
@@ -543,11 +551,12 @@ def _orient_exchange(ce, deg_partial, num_partitions: int):
             "tag": pa.array(np.ones(len(t), np.int8), pa.int8()),
         }).cast(att)
 
-    p2 = (degp.map_batches(deg_rows, batch_format="pyarrow")
-          .union(p1.map_batches(edge_rows_b, batch_format="pyarrow"))
-          .repartition(num_blocks=num_partitions, keys=["key"])
-          .map_batches(lambda t: _attach_kernel(t, ("b", "a", "db", "da")),
-                       batch_format="pyarrow", batch_size=None))
+    p2 = co_locate(
+        degp.map_batches(deg_rows, batch_format="pyarrow")
+        .union(p1.map_batches(edge_rows_b, batch_format="pyarrow")),
+        ["key"], num_partitions,
+    ).map_batches(lambda t: _attach_kernel(t, ("b", "a", "db", "da")),
+                  batch_format="pyarrow", batch_size=None)
 
     def orient_local(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -565,8 +574,8 @@ def _orient_exchange(ce, deg_partial, num_partitions: int):
                          "hi": pa.array(hi, pa.int64()),
                          "dh": pa.array(dh, pa.int64())})
 
-    # materialized for the same exchange-separation reason as the
-    # broadcast plan's oe (two live hash shuffles contend)
+    # materialized: oe feeds both the wedge exchange and the closure
+    # union, so orientation runs once
     return p2.map_batches(orient_local,
                           batch_format="pyarrow").materialize()
 
@@ -578,10 +587,14 @@ def triangle_count(edges_ds, num_partitions: int = 8,
     triangles = join), fully SQL-oracle-checkable.
 
     The degree-ordered node-iterator plan (the standard work bound for
-    exact distributed counting — total wedge fan-out is O(m^1.5)):
+    exact distributed counting — total wedge fan-out is O(m^1.5)).
+    Every exchange below is a co-locating range sort
+    (``util.co_locate``): a key never spans two blocks, which is all the
+    per-block steps rely on, and no aggregator actors start.
 
-    1. canonical distinct edges: per-block canonicalize (lo, hi) + local
-       distinct, ONE keyed exchange on (a, b), per-partition distinct;
+    1. canonical distinct edges (``kcore.canonical_edges``): per-block
+       canonicalize (a < b) + local distinct, ONE exchange on (a, b),
+       per-block distinct;
     2. degrees + 3. orientation low->high in the (degree, node) total
        order: each triangle then has exactly ONE node with two
        out-edges, so it is found exactly once and the max out-degree is
@@ -593,61 +606,28 @@ def triangle_count(edges_ds, num_partitions: int = 8,
          merged on the driver and the rank array broadcast via ray.put —
          one pass, valid while the node universe is dimension-sized;
        - ``degree_mode="exchange"`` (VERDICT r3 item 3, the 100 TB
-         growth path): degrees through ONE keyed exchange on node, then
-         TWO tag-union exchanges attach deg to each endpoint; blocks
-         orient locally by comparing (deg_a, a) vs (deg_b, b) — the
+         growth path): per-block degree partials ride TWO tag-union
+         exchanges that reduce them and attach deg to each endpoint;
+         blocks orient locally by comparing (deg_a, a) vs (deg_b, b) — the
          comparison IS the total order, so no global rank array and no
          node-universe-sized state anywhere;
        - ``degree_mode="auto"``: broadcast while the materialized edge
          count (free conservative node-universe proxy, |nodes| <=
          2|edges|) stays under GRAPH_BROADCAST_EDGE_LIMIT.
 
-    4. wedges: one keyed exchange on the source endpoint, per-block pair
+    4. wedges: one exchange on the source endpoint, per-block pair
        enumeration over each out-adjacency list (pairs ordered by the
        same (deg, node) order in both plans);
     5. closure: wedge rows and oriented-edge rows tag-union through one
-       keyed exchange on (v, w); each partition's sorted sweep counts
-       wedges whose endpoint pair carries an edge row, and the driver sums
-       the per-partition scalars.
+       exchange on (v, w); each block's sorted sweep counts wedges whose
+       endpoint pair carries an edge row, and the driver sums the
+       per-block scalars.
 
     Returns a one-row table ``{n_triangles: int64}``.
     """
     import ray
 
-    canon_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-    def canon(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return canon_schema.empty_table()
-        src = t["src"].combine_chunks().to_numpy(zero_copy_only=False)
-        dst = t["dst"].combine_chunks().to_numpy(zero_copy_only=False)
-        a = np.minimum(src, dst)
-        b = np.maximum(src, dst)
-        keep = a != b  # self-loops close no triangle
-        a, b = a[keep], b[keep]
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])]) \
-            if len(a) else np.empty(0, bool)
-        return pa.table({"a": pa.array(a[first], pa.int64()),
-                         "b": pa.array(b[first], pa.int64())})
-
-    ce = edges_ds.map_batches(canon, batch_format="pyarrow").repartition(
-        num_blocks=num_partitions, keys=["a", "b"])
-
-    def distinct(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return canon_schema.empty_table()
-        a = t["a"].combine_chunks().to_numpy(zero_copy_only=False)
-        b = t["b"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        return pa.table({"a": pa.array(a[first], pa.int64()),
-                         "b": pa.array(b[first], pa.int64())})
-
-    ce = ce.map_batches(distinct, batch_format="pyarrow",
-                        batch_size=None).materialize()
+    ce = canonical_edges(edges_ds, num_partitions)
 
     def deg_partial(t: pa.Table) -> pa.Table:
         node = np.concatenate([
@@ -705,8 +685,8 @@ def triangle_count(edges_ds, num_partitions: int = 8,
                              "tag": pa.array(np.zeros(len(v), np.int8),
                                              pa.int8())})
 
-        wedge_ds = oe.repartition(num_blocks=num_partitions, keys=["lo"]) \
-            .map_batches(wedges_x, batch_format="pyarrow", batch_size=None)
+        wedge_ds = co_locate(oe, ["lo"], num_partitions).map_batches(
+            wedges_x, batch_format="pyarrow", batch_size=None)
     else:
         dp = _collect(ce.map_batches(deg_partial, batch_format="pyarrow"))
         if len(dp) == 0:
@@ -731,9 +711,8 @@ def triangle_count(edges_ds, num_partitions: int = 8,
             return pa.table({"lo": pa.array(lo, pa.int64()),
                              "hi": pa.array(hi, pa.int64())})
 
-        # materialized: keeps the KR(lo) and KR(v,w) exchanges in separate
-        # executions (two live hash-shuffle operators contend on aggregator
-        # CPU reservations — measured 13-15 s vs 10-11 s at sf0.1 when fused)
+        # materialized: oe feeds both the wedge exchange and the closure
+        # union, so orientation runs once
         oe = ce.map_batches(orient, batch_format="pyarrow").materialize()
 
         def wedges(t: pa.Table) -> pa.Table:
@@ -765,8 +744,8 @@ def triangle_count(edges_ds, num_partitions: int = 8,
                              "tag": pa.array(np.zeros(len(v), np.int8),
                                              pa.int8())})
 
-        wedge_ds = oe.repartition(num_blocks=num_partitions, keys=["lo"]) \
-            .map_batches(wedges, batch_format="pyarrow", batch_size=None)
+        wedge_ds = co_locate(oe, ["lo"], num_partitions).map_batches(
+            wedges, batch_format="pyarrow", batch_size=None)
 
     def edge_rows(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -776,7 +755,7 @@ def triangle_count(edges_ds, num_partitions: int = 8,
         }).cast(tagged)
 
     union = wedge_ds.union(oe.map_batches(edge_rows, batch_format="pyarrow"))
-    union = union.repartition(num_blocks=num_partitions, keys=["v", "w"])
+    union = co_locate(union, ["v", "w"], num_partitions)
 
     def close_partial(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -960,16 +939,18 @@ def reachability(edges_ds, source: int = 0, max_hops: int = 4) -> pa.Table:
     Each hop is one streaming pass: the frontier (sorted int64 array)
     broadcasts via ``ray.put``, blocks emit the distinct successors of
     frontier members (searchsorted membership — no Python loop), and the
-    driver subtracts visited nodes.  Frontier/visited are node-universe
-    sized (the same broadcastability assumption as :func:`pagerank`)."""
+    driver subtracts visited nodes the same way.  Frontier/visited are
+    sorted int64 arrays, node-universe sized (the same broadcastability
+    assumption as :func:`pagerank`)."""
     import ray
 
     edges_ds = edges_ds.materialize()
-    visited = {int(source): 0}
-    frontier = np.array([source], np.int64)
+    visited = np.array([source], np.int64)  # sorted
+    dist = np.zeros(1, np.int64)  # aligned with visited
+    frontier = visited
 
     for hop in range(1, max_hops + 1):
-        fref = ray.put(np.sort(frontier))
+        fref = ray.put(frontier)
 
         def succ(t: pa.Table, _fref=fref) -> pa.Table:
             if len(t) == 0:
@@ -984,16 +965,15 @@ def reachability(edges_ds, source: int = 0, max_hops: int = 4) -> pa.Table:
 
         parts = _collect(edges_ds.map_batches(succ, batch_format="pyarrow"))
         nxt = np.unique(parts["node"].to_numpy(zero_copy_only=False))
-        fresh = np.array([n for n in nxt.tolist() if n not in visited],
-                         np.int64)
-        if len(fresh) == 0:
+        pos = np.searchsorted(visited, nxt)
+        fresh = visited[np.minimum(pos, len(visited) - 1)] != nxt
+        if not fresh.any():
             break
-        for n in fresh.tolist():
-            visited[n] = hop
-        frontier = fresh
+        # the fresh nodes are sorted and absent from visited, so inserting
+        # them at their searchsorted positions keeps visited sorted
+        visited = np.insert(visited, pos[fresh], nxt[fresh])
+        dist = np.insert(dist, pos[fresh], hop)
+        frontier = nxt[fresh]
 
-    nodes = np.array(sorted(visited), np.int64)
-    return pa.table({
-        "node": pa.array(nodes, pa.int64()),
-        "dist": pa.array([visited[int(n)] for n in nodes], pa.int64()),
-    })
+    return pa.table({"node": pa.array(visited, pa.int64()),
+                     "dist": pa.array(dist, pa.int64())})

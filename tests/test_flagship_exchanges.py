@@ -6,7 +6,6 @@ points finish with their default arguments in a 4-CPU session."""
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -22,32 +21,6 @@ CFG = ChunkerConfig(64, 256, 1024)
 FLAGSHIP_AUTO_EXECUTIONS = 4
 
 
-class _DataLog:
-    """(executions, keyed exchanges) logged to this session's
-    ``ray-data.log`` since the last ``mark()``."""
-
-    def __init__(self):
-        import ray
-
-        session = ray._private.worker._global_node.get_session_dir_path()
-        self.path = os.path.join(session, "logs", "ray-data", "ray-data.log")
-        self.pos = 0
-
-    def mark(self):
-        self.pos = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-
-    def since(self) -> tuple[int, int]:
-        with open(self.path, errors="replace") as f:
-            f.seek(self.pos)
-            text = f.read()
-        exch = sum(
-            line.count("HashShuffleOperator[") + line.count("HashAggregateOperator[")
-            for line in text.splitlines()
-            if "Execution plan of Dataset" in line
-        )
-        return text.count("Starting execution of Dataset"), exch
-
-
 def _corpus(n_convs: int, seed: int):
     import ray.data as rd
 
@@ -55,36 +28,34 @@ def _corpus(n_convs: int, seed: int):
     return transcripts, lambda: rd.from_arrow(transcripts).repartition(4)
 
 
-def test_log_counts_a_keyed_exchange(ray_session):
+def test_log_counts_a_keyed_exchange(data_log):
     """The reader sees a hash shuffle when one runs, so the zero counts
     below are not an unread log."""
     import ray.data as rd
 
-    log = _DataLog()
-    log.mark()
+    data_log.mark()
     rd.range(100).repartition(num_blocks=2, keys=["id"]).materialize()
-    assert log.since() == (1, 1)
+    assert data_log.since() == (1, 1)
 
 
-def test_flagship_stages_start_no_hash_shuffle(ray_session):
+def test_flagship_stages_start_no_hash_shuffle(data_log):
     from fastcdc_rs_ray.pipelines.neardup import (
         neardup_clusters, signatures_pipeline, verify_edges)
     from fastcdc_rs_ray.stages.lsh import candidate_edges
 
     _, ds = _corpus(60, 41)
-    log = _DataLog()
 
     sigs = signatures_pipeline(ds(), cfg=CFG, num_partitions=8).materialize()
     edges = candidate_edges(sigs).materialize()
-    log.mark()
+    data_log.mark()
     assert verify_edges(edges, sigs, 0.4, num_partitions=8,
                         driver_limit=0).materialize().count() > 0
-    assert log.since()[1] == 0
+    assert data_log.since()[1] == 0
 
-    log.mark()  # the auto plan includes assemble
+    data_log.mark()  # the auto plan includes assemble
     neardup_clusters(ds(), cfg=CFG, num_partitions=8,
                      verify_threshold=0.4).to_pandas()
-    execs, exch = log.since()
+    execs, exch = data_log.since()
     assert exch == 0
     assert execs <= FLAGSHIP_AUTO_EXECUTIONS
 

@@ -114,3 +114,22 @@ def test_kcore_exchange_parity(ray_session):
         kcore_members_exchange(_edges(path), k=2, max_rounds=3)
     with pytest.raises(RuntimeError):
         kcore_members(_edges(path), k=2, max_rounds=3)
+
+
+def test_vertex_ids_beyond_32_bits(ray_session):
+    """Ids at and past 2^32 keep their edges: both plans give the
+    brute-force core (edge dedupe compares (a, b) pairs, so no id range
+    is special)."""
+    from fastcdc_rs_ray.stages.kcore import kcore_members_exchange
+
+    rng = np.random.default_rng(29)
+    small = list(zip(rng.integers(0, 50, 500).tolist(),
+                     rng.integers(0, 50, 500).tolist()))
+    # v -> 2^32 + v * 2^33: every id is >= 2^32 and all share one low
+    # 32-bit word, so any packing that keeps only the low word merges them
+    pairs = [((1 << 32) + (a << 33), (1 << 32) + (b << 33)) for a, b in small]
+    want = _brute(pairs, 4)
+    assert len(want) > 10
+    assert set(kcore_members(_edges(pairs), k=4).to_pandas().p_partkey) == want
+    assert set(kcore_members_exchange(
+        _edges(pairs), k=4, num_partitions=3).to_pandas().p_partkey) == want
