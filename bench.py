@@ -330,9 +330,9 @@ def run_corpus_flagship(corpus_dir: str, num_cpus: int) -> dict:
     # FIXED partition count at every cluster size (a real scaling run
     # executes the identical job plan on N and 4N nodes); aggregator actors
     # are cheap (0.1 CPU each, see fastcdc_rs_ray.ensure_data_context)
-    # GRAFT_SCALE_MODE=distributed forces the shuffle verify + label-
-    # propagation CC (no driver-resident data-proportional stage) — the
-    # multi-node configuration the weak-scaling criterion describes
+    # GRAFT_SCALE_MODE=distributed forces the shuffle verify + BSP actor
+    # CC (no driver-resident data-proportional stage) — the multi-node
+    # configuration the weak-scaling criterion describes
     flagship = (
         neardup_clusters_distributed
         if os.environ.get("GRAFT_SCALE_MODE") == "distributed"

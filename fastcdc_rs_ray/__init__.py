@@ -12,12 +12,11 @@ tune_allocator()  # applies in every process that imports the package (driver an
 
 def ensure_data_context() -> None:
     """Configure Ray Data for this engine: hash-shuffle strategy (keyed
-    ``repartition`` — the registry's keyed stages, the label-propagation
-    CC rounds and ``representatives`` — requires it; the flagship's
-    exchanges are range sorts, ``util.co_locate``, which do not depend on
-    it).  Safe without an active Ray session; idempotent; never raises
-    (the engine still works for shuffle-free stages if ray.data is
-    unavailable)."""
+    ``repartition`` — the registry's keyed stages and
+    ``representatives`` — requires it; the flagship's exchanges are range
+    sorts, ``util.co_locate``, which do not depend on it).  Safe without
+    an active Ray session; idempotent; never raises (the engine still
+    works for shuffle-free stages if ray.data is unavailable)."""
     try:
         from ray.data.context import DataContext, ShuffleStrategy
 

@@ -23,8 +23,8 @@ Beyond the reference, the distributed tiers (each also registered in
 - similarity: :func:`simhash_signatures` / :func:`simhash_pairs`,
   :func:`ngram_jaccard_pairs`
 - components: :func:`connected_components_driver` /
-  :func:`connected_components_distributed` (hash-to-min, string or
-  int64 vertices)
+  :func:`connected_components_bsp` (hash-to-min on shard actors, string
+  or int64 vertices)
 
 Everything is a plain function ``Dataset -> Dataset`` (or a small
 driver-side ``pyarrow.Table`` for dimension-sized results); none of it
@@ -45,7 +45,7 @@ from .pipelines.neardup import (  # noqa: F401
 from .sources.transcripts import read_transcripts  # noqa: F401
 from .stages.assemble import assemble, assemble_batch  # noqa: F401
 from .stages.cc import (  # noqa: F401
-    connected_components_distributed,
+    connected_components_bsp,
     connected_components_driver,
 )
 from .stages.chunk import ChunkStage, chunk  # noqa: F401
@@ -65,7 +65,7 @@ __all__ = [
     "representatives", "split_by_cluster",
     "exact_dedup", "normalized_dedup",
     "simhash_signatures", "simhash_pairs", "ngram_jaccard_pairs",
-    "connected_components_driver", "connected_components_distributed",
+    "connected_components_driver", "connected_components_bsp",
 ]
 
 

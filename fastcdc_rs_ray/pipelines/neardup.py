@@ -7,7 +7,7 @@
       -> bands              (u64 band_key x conv_key rows)
       -> sort(band_key) + per-block link                   [exchange #2]
       -> dedupe + verify    [signature-estimate Jaccard >= threshold]
-      -> connected components (driver union-find | distributed label prop)
+      -> connected components (driver union-find | BSP actor hash-to-min)
       -> clusters (conv_id, cluster_id)
 
 Every stage is a plain ``Dataset -> Dataset`` function, composable and
@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 from ..cdc import ChunkerConfig
 from ..stages.assemble import assemble
 from ..stages.chunk import DEFAULT_CONFIG, chunk
-from ..stages.cc import connected_components_distributed, connected_components_driver
+from ..stages.cc import connected_components_bsp, connected_components_driver
 from ..stages.lsh import N_BANDS, N_SALTS, candidate_edges, conv_keys
 from ..stages.minhash import N_PERMS, SHINGLE_K, minhash
 from ..util import co_locate
@@ -422,6 +422,7 @@ def neardup_clusters_from_signatures(
     (possibly checkpoint-restored) signatures Dataset.  ``n_perms`` is only
     needed to type EMPTY checkpoint buckets (a non-empty block carries its
     width in its own offsets)."""
+    _check_cc(cc)
 
     def fix_sig_type(t: pa.Table) -> pa.Table:
         # parquet round-trips fixed_size_list as plain list; restore it
@@ -447,9 +448,9 @@ def neardup_clusters_from_signatures(
 def neardup_clusters_distributed(transcripts_ds, **kw):
     """The flagship with every data-proportional stage forced DISTRIBUTED
     (verify via the tag-union range-sort path, connected components via
-    label-propagation rounds) — the configuration a multi-node cluster
-    runs, where no stage's cost may grow with the corpus while staying on
-    the driver.  `neardup_clusters`'s auto paths deliberately keep
+    the BSP actor hash-to-min rounds) — the configuration a multi-node
+    cluster runs, where no stage's cost may grow with the corpus while
+    staying on the driver.  `neardup_clusters`'s auto paths deliberately keep
     candidate-sized work driver-local because that is faster up to
     millions of edges on one box; this entry point is the weak-scaling /
     100 TB shape (and the scaling bench's subject).
@@ -459,39 +460,27 @@ def neardup_clusters_distributed(transcripts_ds, **kw):
     return neardup_clusters(transcripts_ds, **kw)
 
 
-# driver union-find is O(edges) driver memory; beyond this the iterative
-# label-propagation rounds (O(log n) keyed exchanges) take over
+# driver union-find is O(edges) driver memory; beyond this the BSP actor
+# hash-to-min rounds take over.  On one box the driver is the faster of
+# the two at every measured size (2M-vertex LSH-chain graph, 4-CPU
+# session on one core: 3.3 s against 14.2 s for BSP;
+# tools/measure_graph_crossover.py --op cc)
 CC_DRIVER_EDGE_LIMIT = 50_000_000
 
 
-#: BSP actor-pool CC wins while the graph is floor-dominated (its
-#: per-round cost is two message barriers instead of two Dataset
-#: hash-shuffle setups, measured 30 s -> 4.3 s at 20 k vertices) but its
-#: per-shard combine is single-threaded Python — past this vertex count
-#: the Dataset rounds' full-cluster parallelism wins (measured: 46 M
-#: turns / 5.76 M vertices ran 129 s via an 8-shard BSP vs 84 s via the
-#: shuffle rounds).  Self-select like the other tiers.
-CC_BSP_VERTEX_LIMIT = 1_000_000
+def _check_cc(cc: str) -> None:
+    if cc not in ("auto", "driver", "distributed"):
+        raise ValueError(
+            f"cc must be 'auto', 'driver' or 'distributed', got {cc!r}")
 
 
 def _run_cc(cc: str, edges, sigs, num_partitions: int):
+    _check_cc(cc)
     if cc == "auto":
         edges = edges.materialize()
         cc = "driver" if edges.count() <= CC_DRIVER_EDGE_LIMIT else "distributed"
     if cc == "driver":
         return connected_components_driver(edges, sigs)
-    if cc == "dataset_shuffle":
-        # the pure-Dataset label-propagation rounds (kept for parity
-        # tests; each round pays two hash-shuffle setups)
-        return connected_components_distributed(
-            edges, sigs, num_partitions=num_partitions)
-    # "distributed": BSP actor-pool hash-to-min in the floor-dominated
-    # regime, Dataset shuffle rounds beyond CC_BSP_VERTEX_LIMIT
-    if sigs.count() > CC_BSP_VERTEX_LIMIT:
-        return connected_components_distributed(
-            edges, sigs, num_partitions=num_partitions)
-    from ..stages.cc import connected_components_bsp
-
     return connected_components_bsp(
         edges, sigs, n_shards=max(2, min(16, num_partitions // 4)))
 
@@ -513,9 +502,11 @@ def neardup_clusters(
     """transcripts Dataset -> clusters Dataset (conv_id, cluster_id).
 
     ``cc="auto"`` picks driver union-find while the verified edge set is
-    driver-sized (CC_DRIVER_EDGE_LIMIT) and the distributed label-
-    propagation rounds beyond — same self-selection discipline as
-    verify_edges' driver_limit."""
+    driver-sized (CC_DRIVER_EDGE_LIMIT) and the BSP actor hash-to-min
+    rounds beyond — same self-selection discipline as verify_edges'
+    driver_limit; ``cc="driver"`` and ``cc="distributed"`` (BSP) pin
+    one."""
+    _check_cc(cc)
     sigs = signatures_pipeline(
         transcripts_ds, cfg, n_perms, shingle_k, seed, num_partitions,
         pre_partitioned=pre_partitioned,

@@ -46,6 +46,7 @@ from ..functions.text import (
     quality_batch,
     token_count_batch,
 )
+from ..util import conv_numbers
 from .neardup import neardup_clusters, signatures_pipeline
 
 _TRANSCRIPT_CTE = f"WITH transcripts AS ({DOCUMENTS_TRANSCRIPT_SQL})"
@@ -418,7 +419,7 @@ def q_neardup_twin_recall(sf_dir: str):
             return pa.table({"num": pa.array([], pa.int64()),
                              "is_twin": pa.array([], pa.int8()),
                              "cluster_id": pa.array([], pa.string())})
-        num = pc.cast(pc.utf8_slice_codeunits(conv, 5, 13), pa.int64())
+        num = conv_numbers(conv)
         n = num.to_numpy(zero_copy_only=False)
         is_twin = pc.equal(pc.utf8_slice_codeunits(conv, 0, 5),
                            "twin-").cast(pa.int8())
@@ -3144,11 +3145,12 @@ def q_part_components(sf_dir: str):
     """Connected components of a sparse co-purchase part graph (edges
     restricted to orders with l_orderkey % 101 == 0 — avg degree ~0.5, a
     mix of singletons and up-to-~60-part components at sf0.01): the
-    flagship's distributed min-label-propagation + pointer-jumping CC
-    (stages/cc.py) run on an int64 vertex universe, with a WITH RECURSIVE
-    min-label DuckDB oracle.  This puts the flagship's CC algorithm —
-    otherwise only pytest/rows-only verified — behind the driver's SQL
-    hash gate on a real multi-component graph.  component = min p_partkey
+    flagship's distributed CC — BSP actor hash-to-min with pointer
+    jumping (stages/cc.py:connected_components_bsp) — run on an int64
+    vertex universe, with a WITH RECURSIVE min-label DuckDB oracle.  This
+    puts the flagship's CC algorithm — otherwise only pytest/rows-only
+    verified — behind the driver's SQL hash gate on a real
+    multi-component graph.  component = min p_partkey
     of the component; edge-less parts are singletons."""
     import pyarrow.compute as pc
     import ray.data as rd
@@ -3171,9 +3173,8 @@ def q_part_components(sf_dir: str):
         lambda t: pa.table({"conv_id": pc.cast(t["p_partkey"], pa.int64())}),
         batch_format="pyarrow",
     )
-    # BSP actor-pool CC: per-round cost is two message barriers, not two
-    # Dataset hash shuffles (each shuffle setup alone cost ~0.7 s/round;
-    # this graph needs ~18 rounds — stages/cc.py:connected_components_bsp)
+    # per-round cost is two actor message barriers, no Dataset execution
+    # (this graph needs ~18 rounds)
     cc = connected_components_bsp(
         edges, members, max_rounds=60, n_shards=8,
         vertex_type=pa.int64())

@@ -52,6 +52,7 @@ from ..sources.transcripts import (
     DOCS_TURNS_PER_CONV,
     documents_to_transcripts_table,
 )
+from ..util import conv_numbers
 
 
 def _semi_join(big_ds, key_col: str, ids_ds, id_col: str,
@@ -107,8 +108,11 @@ def _semi_join(big_ds, key_col: str, ids_ds, id_col: str,
 
 
 def _distinct_count(ds, col: str, num_partitions: int) -> int:
-    """Exact distinct count through a keyed exchange on the hashed
-    value (the data_card discipline — never a driver-side set)."""
+    """Distinct count through a keyed exchange on a u64 per value (the
+    data_card discipline — never a driver-side set).  Exact for integer
+    values; string values are counted by distinct 64-bit hash
+    (``hash_str_array_u64``), so a collision (~n^2/2^65: ~6e-7 at 5M
+    values) can only undercount."""
     from ..util import hash_str_array_u64
 
     def hash_rows(t: pa.Table) -> pa.Table:
@@ -254,9 +258,8 @@ def curation_release(sf_dir: str, budget: int = 512, n_groups: int = 16,
     def rep_conv_nos(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].combine_chunks()
         base = pc.starts_with(conv, "conv-")
-        num = pc.cast(pc.utf8_slice_codeunits(
-            pc.array_filter(conv, base), 5, 13), pa.int64())
-        return pa.table({"conv_no": num})
+        return pa.table(
+            {"conv_no": conv_numbers(pc.array_filter(conv, base))})
 
     kept_convs = reps.map_batches(rep_conv_nos, batch_format="pyarrow")
 

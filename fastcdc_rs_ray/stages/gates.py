@@ -61,6 +61,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..util import conv_numbers
+
 
 def _one_row(**cols) -> pa.Table:
     return pa.table({k: pa.array([v], pa.int64()) for k, v in cols.items()})
@@ -914,8 +916,7 @@ def neardup_keep_gate(transcripts_ds, keep_all: bool = False) -> pa.Table:
         conv = t["conv_id"].combine_chunks()
         if len(conv) == 0:
             return pa.table({"n": pa.array([0], pa.int64())})
-        num = pc.cast(pc.utf8_slice_codeunits(conv, 5, 13),
-                      pa.int64()).to_numpy(zero_copy_only=False)
+        num = conv_numbers(conv).to_numpy(zero_copy_only=False)
         is_twin = pc.equal(pc.utf8_slice_codeunits(conv, 0, 5),
                            "twin-").to_numpy(zero_copy_only=False)
         return pa.table({"n": pa.array(
@@ -931,7 +932,7 @@ def neardup_keep_gate(transcripts_ds, keep_all: bool = False) -> pa.Table:
         if len(conv) == 0:
             return pa.table({"num": pa.array([], pa.int64()),
                              "is_twin": pa.array([], pa.int8())})
-        num = pc.cast(pc.utf8_slice_codeunits(conv, 5, 13), pa.int64())
+        num = conv_numbers(conv)
         n = num.to_numpy(zero_copy_only=False)
         is_twin = pc.equal(pc.utf8_slice_codeunits(conv, 0, 5),
                            "twin-").cast(pa.int8())

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..util import mix64
+from ..util import conv_numbers, mix64
 
 TWIN_MOD = 20  # conv_no % 20 == 0 -> exact-copy twin exists
 
@@ -42,7 +42,7 @@ def _tag_conv_values(t: pa.Table, id_col: str, val_col: str) -> pa.Table:
         return pa.table({"num": pa.array([], pa.int64()),
                          "is_twin": pa.array([], pa.int8()),
                          "val": pa.array([], pa.uint64())})
-    num = pc.cast(pc.utf8_slice_codeunits(conv, 5, 13), pa.int64())
+    num = conv_numbers(conv)
     is_twin = pc.equal(
         pc.utf8_slice_codeunits(conv, 0, 5), "twin-").cast(pa.int8())
     keep = pa.array(num.to_numpy(zero_copy_only=False) % TWIN_MOD == 0)

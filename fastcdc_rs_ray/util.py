@@ -112,6 +112,22 @@ def co_locate(ds, keys, num_blocks: int):
     return ds.repartition(num_blocks).sort(keys)
 
 
+def conv_numbers(conv):
+    """int64 number part of ``conv-%08d`` / ``twin-%08d`` conversation ids
+    (code units 5-13).  Raises ValueError on an id whose number part is
+    longer than 8 code units: the slice would silently truncate it into
+    another conversation's number."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    long = pc.greater(pc.binary_length(conv), 13)
+    if pc.any(long).as_py():
+        raise ValueError(
+            f"conversation id {pc.filter(conv, long)[0].as_py()!r} has a "
+            f"number part longer than 8 digits")
+    return pc.cast(pc.utf8_slice_codeunits(conv, 5, 13), pa.int64())
+
+
 def shuffle_safe_partitions(requested: int, concurrent_shuffles: float = 2.25,
                             aggregator_cpu: float = 0.1,
                             budget_frac: float = 0.6) -> int:

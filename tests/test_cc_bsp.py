@@ -1,9 +1,8 @@
 """BSP actor-pool connected components (stages/cc.py:
-connected_components_bsp): parity with the driver union-find on random
-graphs and long chains, string + int64 vertex types, non-convergence
-error.  The BSP variant exists because each Dataset-shuffle round
-carries a ~1.4 s operator-setup floor; its per-round cost is two actor
-message barriers instead."""
+connected_components_bsp), the one distributed CC: parity with the
+driver union-find on random graphs and long chains, string + int64
+vertex types (ids up to 2^63 - 1 exact), non-member bridge vertices,
+non-convergence error."""
 
 from __future__ import annotations
 
@@ -106,21 +105,89 @@ def test_nonconvergence_raises(ray_session):
 def test_non_member_bridge_vertex_both_variants(ray_session):
     """Edge endpoints absent from members_ds still BRIDGE components
     (review r3): members {3, 5}, edges 5-9 and 9-3 with 9 not a member —
-    both variants must put 3 and 5 in one component and materialize 9."""
+    BSP must put 3 and 5 in one component and materialize 9.  (The
+    Dataset label-propagation variant this once also checked is gone;
+    BSP is the one distributed CC.)"""
     import ray.data as rd
-
-    from fastcdc_rs_ray.stages.cc import connected_components_distributed
 
     edges = pa.table({"src": pa.array([5, 9], pa.int64()),
                       "dst": pa.array([9, 3], pa.int64())})
     members = pa.table({"conv_id": pa.array([3, 5], pa.int64())})
-    for fn, kw in (
-        (connected_components_bsp, {"n_shards": 2,
-                                    "vertex_type": pa.int64()}),
-        (connected_components_distributed, {"num_partitions": 2,
-                                            "vertex_type": pa.int64()}),
-    ):
-        out = fn(rd.from_arrow(edges), rd.from_arrow(members),
-                 max_rounds=20, **kw).to_pandas()
-        c = {int(k): int(v) for k, v in zip(out.conv_id, out.cluster_id)}
-        assert c[3] == 3 and c[5] == 3 and c[9] == 3, (fn.__name__, c)
+    out = connected_components_bsp(
+        rd.from_arrow(edges), rd.from_arrow(members), max_rounds=20,
+        n_shards=2, vertex_type=pa.int64()).to_pandas()
+    c = {int(k): int(v) for k, v in zip(out.conv_id, out.cluster_id)}
+    assert c[3] == 3 and c[5] == 3 and c[9] == 3, c
+
+
+def test_random_graph_parity_with_driver_string(ray_session):
+    """String vertices: the labels themselves (component-min id under
+    string order) equal the driver union-find's, row for row."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(4)
+    ids = [f"n{i:03d}" for i in range(120)]
+    src = rng.choice(ids, 150)
+    dst = rng.choice(ids, 150)
+    edges = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
+    members = pa.table({"conv_id": pa.array(ids)})
+    a = (
+        connected_components_driver(rd.from_arrow(edges),
+                                    rd.from_arrow(members))
+        .to_pandas().sort_values("conv_id").reset_index(drop=True)
+    )
+    b = (
+        connected_components_bsp(rd.from_arrow(edges),
+                                 rd.from_arrow(members), n_shards=4)
+        .to_pandas().sort_values("conv_id").reset_index(drop=True)
+    )
+    assert a.equals(b)
+
+
+def test_long_chain_converges_in_log_rounds(ray_session):
+    """Path graph v0000-...-v0299: diameter 299 — the LSH hot-band chain
+    shape that one-hop propagation needs ~300 rounds for; hash-to-min
+    needs ~log2(300) plus the fixpoint-detection round."""
+    import ray.data as rd
+
+    ids = [f"v{i:04d}" for i in range(300)]
+    edges = pa.table({"src": pa.array(ids[:-1]), "dst": pa.array(ids[1:])})
+    members = pa.table({"conv_id": pa.array(ids + ["v_lone"])})
+    out = connected_components_bsp(
+        rd.from_arrow(edges), rd.from_arrow(members),
+        max_rounds=15, n_shards=4,
+    ).to_pandas()
+    c = _assign(out)
+    assert all(c[v] == ids[0] for v in ids)
+    assert c["v_lone"] == "v_lone"
+
+
+def test_int64_ids_above_2_62_exact(ray_session):
+    """int64 ids in [2^62, 2^63) come back bit-exact (a float64 round
+    trip would merge neighbors 1 apart), labelled with their
+    component's minimum."""
+    import ray.data as rd
+
+    base = 2**62
+    rng = np.random.default_rng(5)
+    ids = np.sort(rng.choice(2**62 - 1, 200, replace=False)) + base
+    ids[-1] = 2**63 - 1
+    # components: consecutive pairs (ids[2i], ids[2i+1]) for i < 60,
+    # one chain over ids[120:140] (listed max-to-min), the rest singletons
+    src = np.concatenate([ids[0:120:2], ids[139:120:-1]])
+    dst = np.concatenate([ids[1:120:2], ids[138:119:-1]])
+    edges = pa.table({"src": pa.array(src, pa.int64()),
+                      "dst": pa.array(dst, pa.int64())})
+    members = pa.table({"conv_id": pa.array(ids, pa.int64())})
+    out = connected_components_bsp(
+        rd.from_arrow(edges), rd.from_arrow(members),
+        max_rounds=30, n_shards=3, vertex_type=pa.int64(),
+    ).to_pandas()
+    assert out.conv_id.dtype == "int64" and out.cluster_id.dtype == "int64"
+    got = {int(k): int(v) for k, v in zip(out.conv_id, out.cluster_id)}
+    want = {int(v): int(v) for v in ids}
+    for i in range(0, 120, 2):
+        want[int(ids[i + 1])] = int(ids[i])
+    for v in ids[120:140]:
+        want[int(v)] = int(ids[120])
+    assert got == want

@@ -37,6 +37,23 @@ def test_twin_equality_counts_a_mismatch(ray_session):
     assert out["n_equal"][0].as_py() == 1
 
 
+def test_conv_numbers_rejects_a_long_number():
+    """A 9-digit conversation number would slice to its first 8 digits
+    (conv-100000020 -> 10000002) and silently pair with another
+    conversation's twin; the one conv-number parser raises instead."""
+    from fastcdc_rs_ray.stages.invariants import _tag_conv_values
+    from fastcdc_rs_ray.util import conv_numbers
+
+    ok = conv_numbers(pa.array(["conv-00000020", "twin-00000007"]))
+    assert ok.type == pa.int64() and ok.to_pylist() == [20, 7]
+    t = pa.table({"conv_id": pa.array(["conv-00000020", "conv-100000020"]),
+                  "val": pa.array([1, 2], pa.uint64())})
+    with pytest.raises(ValueError, match="'conv-100000020'"):
+        conv_numbers(t["conv_id"])
+    with pytest.raises(ValueError, match="longer than 8 digits"):
+        _tag_conv_values(t, "conv_id", "val")
+
+
 def test_pack_conservation_counts_an_overflow(ray_session):
     # bin 0 of group 0 holds 300+300 = 600 > budget 512 -> 1 overflow;
     # the lone oversize doc (700 > 512, alone in bin 1) is allowed.

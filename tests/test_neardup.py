@@ -103,7 +103,7 @@ def test_distributed_cc_equals_driver(ray_session):
 
 
 def test_cc_auto_selects_distributed_above_limit(ray_session, monkeypatch):
-    """cc='auto' switches to label propagation when the verified edge set
+    """cc='auto' switches to the BSP actor CC when the verified edge set
     exceeds the driver limit; output identical either way."""
     import ray.data as rd
 
@@ -120,8 +120,23 @@ def test_cc_auto_selects_distributed_above_limit(ray_session, monkeypatch):
     assert dict(zip(a.conv_id, a.cluster_id)) == dict(zip(b.conv_id, b.cluster_id))
 
 
+@pytest.mark.parametrize("cc", ["dataset_shuffle", "drvier"])
+def test_unknown_cc_raises(ray_session, cc):
+    """An unknown cc value (the deleted label-propagation mode, a typo)
+    raises before any pipeline work instead of silently running BSP."""
+    import ray.data as rd
+
+    import fastcdc_rs_ray.pipelines.neardup as nd
+
+    transcripts, _ = synth_transcripts(n_convs=4, seed=1)
+    with pytest.raises(ValueError, match="'auto', 'driver' or 'distributed'"):
+        neardup_clusters(rd.from_arrow(transcripts), cfg=CFG, cc=cc)
+    with pytest.raises(ValueError, match=repr(cc)):
+        nd._run_cc(cc, None, None, 8)
+
+
 def test_fully_distributed_flagship_equals_auto(ray_session):
-    """neardup_clusters_distributed (shuffle verify + label-propagation CC,
+    """neardup_clusters_distributed (shuffle verify + BSP actor CC,
     no driver-resident data-proportional stage — the multi-node/weak-scaling
     configuration) produces the same cluster partition as the auto paths."""
     import ray.data as rd

@@ -52,7 +52,7 @@ def main() -> int:
     ap.add_argument("--verify-threshold", type=float, default=0.5)
     ap.add_argument("--distributed", action="store_true",
                     help="force every data-proportional stage distributed "
-                         "(shuffle verify + label-propagation CC) — the "
+                         "(shuffle verify + BSP actor CC) — the "
                          "multi-node configuration")
     ap.add_argument("--pre-partitioned", action="store_true",
                     help="input layout is conversation-contiguous; skip "

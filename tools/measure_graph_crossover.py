@@ -7,6 +7,12 @@ BSP crossover was) instead of a reasoned constant.
 Run:  python tools/measure_graph_crossover.py [--edges 1e6,1e7,5e7]
                                               [--n-iter 3] [--cpus 32]
 
+``--op kcore`` measures the k-core plans on the same graphs; ``--op cc``
+measures connected components, driver union-find against the BSP actor
+hash-to-min, on string-id LSH-shaped graphs of ``--vertices`` vertices
+(``python tools/measure_graph_crossover.py --op cc --cpus 4
+--vertices 3e3,2e5,2e6``).
+
 Prints one JSON line per (plan, scale) and a summary table; paste the
 results into BASELINE.md and annotate GRAPH_BROADCAST_EDGE_LIMIT.
 """
@@ -21,6 +27,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -111,6 +118,60 @@ def run_one_kcore(plan: str, n_edges: int, k: int, num_partitions: int):
             "rank_checksum": checksum}
 
 
+def synth_lsh_graph(n_vertices: int, seed: int = 7):
+    """The flagship's CC input shape: string ids ``conv-%08d``, 40% of
+    the vertices in chains of 2-6 (the consecutive links an LSH band
+    emits), the rest singletons — about 0.3 edges a vertex.  -> (edges
+    table (src, dst), members table (conv_id))."""
+    rng = np.random.default_rng(seed)
+    ids = pa.array([f"conv-{i:08d}" for i in range(n_vertices)])
+    lengths = rng.integers(2, 7, max(1, int(n_vertices * 0.4) // 4))
+    lengths = lengths[np.cumsum(lengths) <= n_vertices]
+    chained = rng.permutation(n_vertices)[:int(lengths.sum())]
+    link = np.ones(max(0, len(chained) - 1), bool)
+    link[np.cumsum(lengths)[:-1] - 1] = False  # no edge across two chains
+    src = pa.array(chained[:-1][link], pa.int64())
+    dst = pa.array(chained[1:][link], pa.int64())
+    return (pa.table({"src": ids.take(src), "dst": ids.take(dst)}),
+            pa.table({"conv_id": ids}))
+
+
+def run_one_cc(plan: str, n_vertices: int, num_partitions: int):
+    """CC variant (--op cc): ``plan`` is driver or bsp, at the flagship's
+    shard count for ``num_partitions``; checksum = order-insensitive sum
+    of per-row (conv_id, cluster_id) hashes, equal across plans when the
+    labels are."""
+    import ray.data as rd
+
+    from fastcdc_rs_ray.stages.cc import (
+        connected_components_bsp,
+        connected_components_driver,
+    )
+    from fastcdc_rs_ray.util import hash_str_array_u64
+
+    e, m = synth_lsh_graph(n_vertices)
+    edges = rd.from_arrow(e).repartition(num_partitions).materialize()
+    members = rd.from_arrow(m).repartition(num_partitions).materialize()
+    run = {
+        "driver": lambda: connected_components_driver(edges, members),
+        "bsp": lambda: connected_components_bsp(
+            edges, members, n_shards=max(2, min(16, num_partitions // 4))),
+    }[plan]
+    t0 = time.monotonic()
+    out = run().materialize()
+    wall = time.monotonic() - t0
+    checksum, clusters = 0, 0
+    for b in out.iter_batches(batch_format="pyarrow"):
+        conv = b["conv_id"].combine_chunks()
+        cl = b["cluster_id"].combine_chunks()
+        h = hash_str_array_u64(conv) + hash_str_array_u64(cl) * np.uint64(3)
+        checksum = (checksum + int(h.sum())) % 2**64
+        clusters += int(pc.sum(pc.equal(conv, cl)).as_py() or 0)
+    return {"plan": plan, "vertices": n_vertices, "edges": len(e),
+            "clusters": clusters, "wall_s": round(wall, 2),
+            "rank_checksum": int(checksum)}
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--edges", default="1e6,1e7,5e7")
@@ -118,9 +179,12 @@ def main():
     ap.add_argument("--cpus", type=int,
                     default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     ap.add_argument("--partitions", type=int, default=32)
-    ap.add_argument("--plans", default="broadcast,exchange")
+    ap.add_argument("--plans", default=None,
+                    help="default broadcast,exchange; driver,bsp for --op cc")
     ap.add_argument("--op", default="pagerank",
-                    choices=("pagerank", "kcore"))
+                    choices=("pagerank", "kcore", "cc"))
+    ap.add_argument("--vertices", default="3e3,2e5,2e6",
+                    help="graph sizes for --op cc")
     ap.add_argument("--k", type=int, default=12,
                     help="k for --op kcore (avg deg 10 -> nontrivial core)")
     args = ap.parse_args()
@@ -130,28 +194,29 @@ def main():
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=args.cpus,
                  include_dashboard=False)
-    results = []
-    for e in args.edges.split(","):
-        n_edges = int(float(e))
-        for plan in args.plans.split(","):
-            if args.op == "kcore":
-                r = run_one_kcore(plan, n_edges, args.k, args.partitions)
+    plans = (args.plans or ("driver,bsp" if args.op == "cc"
+                            else "broadcast,exchange")).split(",")
+    unit = "vertices" if args.op == "cc" else "edges"
+    by_scale = {}
+    for x in (args.vertices if args.op == "cc" else args.edges).split(","):
+        n = int(float(x))
+        for plan in plans:
+            if args.op == "cc":
+                r = run_one_cc(plan, n, args.partitions)
+            elif args.op == "kcore":
+                r = run_one_kcore(plan, n, args.k, args.partitions)
             else:
-                r = run_one(plan, n_edges, args.n_iter, args.partitions)
-            results.append(r)
+                r = run_one(plan, n, args.n_iter, args.partitions)
+            by_scale.setdefault(n, {})[plan] = r
             print(json.dumps(r), flush=True)
     # checksums must agree between plans at each scale (parity at scale)
-    by_scale = {}
-    for r in results:
-        by_scale.setdefault(r["edges"], {})[r["plan"]] = r
-    for e, d in sorted(by_scale.items()):
+    for n, d in sorted(by_scale.items()):
         if len(d) == 2:
-            agree = d["broadcast"]["rank_checksum"] == \
-                d["exchange"]["rank_checksum"]
-            ratio = d["exchange"]["wall_s"] / max(d["broadcast"]["wall_s"],
-                                                  1e-9)
-            print(f"# edges={e:>12,} broadcast={d['broadcast']['wall_s']:8.2f}s"
-                  f" exchange={d['exchange']['wall_s']:8.2f}s"
+            a, b = plans
+            agree = d[a]["rank_checksum"] == d[b]["rank_checksum"]
+            ratio = d[b]["wall_s"] / max(d[a]["wall_s"], 1e-9)
+            print(f"# {unit}={n:>12,} {a}={d[a]['wall_s']:8.2f}s"
+                  f" {b}={d[b]['wall_s']:8.2f}s"
                   f" ratio={ratio:5.2f}x checksums_agree={agree}")
     ray.shutdown()
 
